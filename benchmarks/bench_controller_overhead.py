@@ -30,11 +30,14 @@ from conftest import heading
 
 from repro.control.controller import ControllerRuntime, ControllerSpec
 from repro.core.pmsb import PmsbMarker
-from repro.net.topology import single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.engine import Simulator
 from repro.transport.endpoints import open_flow
 from repro.transport.flow import Flow
+
+#: The 1:8 incast fabric: nine senders, one bottleneck port.
+INCAST_FABRIC = TopologySpec(preset="single-bottleneck", senders=9)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_controller.json"
@@ -52,8 +55,8 @@ NEUTRAL_SPEC = ControllerSpec(name="cem", period=500e-6,
 def _incast_trial(controller_spec):
     """One cold 1:8 PMSB incast; returns (events, elapsed seconds)."""
     sim = Simulator()
-    network = single_bottleneck(
-        sim, 9, lambda: DwrrScheduler(2), lambda: PmsbMarker(THRESHOLD))
+    network = INCAST_FABRIC.build(
+        sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(THRESHOLD))
     runtime = None
     if controller_spec is not None:
         runtime = ControllerRuntime(

@@ -28,11 +28,14 @@ from conftest import heading
 
 from repro.core.pmsb import PmsbMarker
 from repro.net.sharedbuf import SharedBufferSpec
-from repro.net.topology import single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.engine import Simulator
 from repro.transport.endpoints import open_flow
 from repro.transport.flow import Flow
+
+#: The 1:8 incast fabric: nine senders, one bottleneck port.
+INCAST_FABRIC = TopologySpec(preset="single-bottleneck", senders=9)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_sharedbuf.json"
@@ -47,8 +50,8 @@ ENABLED_SPEC = SharedBufferSpec(policy="dt", capacity=4000, alpha=8.0)
 def _incast_trial(shared_buffer):
     """One cold 1:8 PMSB incast; returns (events, elapsed seconds)."""
     sim = Simulator()
-    network = single_bottleneck(
-        sim, 9, lambda: DwrrScheduler(2), lambda: PmsbMarker(16),
+    network = INCAST_FABRIC.build(
+        sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16),
         shared_buffer=shared_buffer)
     for i in range(9):
         open_flow(network, Flow(src=i, dst=9, service=0 if i == 0 else 1))

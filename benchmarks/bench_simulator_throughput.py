@@ -40,12 +40,15 @@ from conftest import heading
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.core.pmsb import PmsbMarker
 from repro.net.packet import POOL, set_pooling
-from repro.net.topology import single_bottleneck
+from repro.net.topology import TopologySpec
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTask
 from repro.transport.base import DctcpConfig
 from repro.transport.endpoints import open_flow
 from repro.transport.flow import Flow
+
+#: The 1:8 incast fabric: nine senders, one bottleneck port.
+INCAST_FABRIC = TopologySpec(preset="single-bottleneck", senders=9)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
@@ -81,8 +84,8 @@ def test_raw_event_loop(benchmark):
 def test_full_stack_incast(benchmark):
     def run():
         sim = Simulator()
-        network = single_bottleneck(
-            sim, 9, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
+        network = INCAST_FABRIC.build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
         for i in range(9):
             open_flow(network, Flow(src=i, dst=9,
                                     service=0 if i == 0 else 1))
@@ -106,8 +109,8 @@ def test_incast_heap_stays_bounded(benchmark):
     """
     def run():
         sim = Simulator()
-        network = single_bottleneck(
-            sim, 9, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
+        network = INCAST_FABRIC.build(
+            sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
         for i in range(9):
             open_flow(network, Flow(src=i, dst=9,
                                     service=0 if i == 0 else 1))
@@ -141,8 +144,8 @@ def _incast_trial(slow: bool, trains: int = 1):
     set_pooling(not slow)
     POOL.reset()
     sim = Simulator(slow_path=slow)
-    network = single_bottleneck(
-        sim, 9, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
+    network = INCAST_FABRIC.build(
+        sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
     config = DctcpConfig(**TRAIN_CONFIG) if trains > 1 else None
     for i in range(9):
         open_flow(network, Flow(src=i, dst=9, service=0 if i == 0 else 1),

@@ -27,77 +27,7 @@ Any folded-Clos fabric is one spec away — e.g.
 fat-tree with derived ECMP routes.
 """
 
-from .core import (
-    AcceptAllFilter,
-    CAPABILITIES,
-    EcnFilter,
-    PmsbMarker,
-    RttEcnFilter,
-    SchemeCapabilities,
-    SteadyStateModel,
-    bdp_packets,
-    capability_table,
-    port_threshold_lower_bound,
-    queue_threshold_lower_bound,
-)
-from .ecn import (
-    BufferPool,
-    MarkPoint,
-    Marker,
-    MqEcnMarker,
-    NullMarker,
-    PerPortMarker,
-    PerQueueMarker,
-    RedMarker,
-    ServicePoolMarker,
-    TcnMarker,
-    fractional_thresholds,
-    standard_thresholds,
-)
-from .metrics import (
-    FctCollector,
-    QueueOccupancyTrace,
-    SizeClass,
-    SummaryStats,
-    ThroughputMeter,
-    summarize,
-)
-from .net import (
-    ClosGenerator,
-    Host,
-    Link,
-    MTU_BYTES,
-    Network,
-    Packet,
-    Port,
-    Switch,
-    TopologySpec,
-    fat_tree,
-    leaf_spine,
-    single_bottleneck,
-)
-from .scheduling import (
-    DwrrScheduler,
-    FifoScheduler,
-    Scheduler,
-    SpWfqScheduler,
-    StrictPriorityScheduler,
-    WfqScheduler,
-    WrrScheduler,
-)
-from .sim import FabricAuditor, InvariantViolation, Simulator, make_rng
-from .store import ExperimentSpec, RunConfig, RunRecord, RunStore
-from .transport import (
-    ClassicEcnSender,
-    DctcpConfig,
-    DctcpReceiver,
-    DctcpSender,
-    Flow,
-    FlowHandle,
-    open_flow,
-    open_flows,
-)
-from .workloads import PAPER_MIX, PoissonFlowGenerator, WEB_SEARCH
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -170,3 +100,37 @@ __all__ = [
     "standard_thresholds",
     "summarize",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": (
+        "AcceptAllFilter", "CAPABILITIES", "EcnFilter", "PmsbMarker",
+        "RttEcnFilter", "SchemeCapabilities", "SteadyStateModel",
+        "bdp_packets", "capability_table", "port_threshold_lower_bound",
+        "queue_threshold_lower_bound",
+    ),
+    ".ecn": (
+        "BufferPool", "MarkPoint", "Marker", "MqEcnMarker", "NullMarker",
+        "PerPortMarker", "PerQueueMarker", "RedMarker", "ServicePoolMarker",
+        "TcnMarker", "fractional_thresholds", "standard_thresholds",
+    ),
+    ".metrics": (
+        "FctCollector", "QueueOccupancyTrace", "SizeClass", "SummaryStats",
+        "ThroughputMeter", "summarize",
+    ),
+    ".net": (
+        "ClosGenerator", "Host", "Link", "MTU_BYTES", "Network", "Packet",
+        "Port", "Switch", "TopologySpec", "fat_tree", "leaf_spine",
+        "single_bottleneck",
+    ),
+    ".scheduling": (
+        "DwrrScheduler", "FifoScheduler", "Scheduler", "SpWfqScheduler",
+        "StrictPriorityScheduler", "WfqScheduler", "WrrScheduler",
+    ),
+    ".sim": ("FabricAuditor", "InvariantViolation", "Simulator", "make_rng"),
+    ".store": ("ExperimentSpec", "RunConfig", "RunRecord", "RunStore"),
+    ".transport": (
+        "ClassicEcnSender", "DctcpConfig", "DctcpReceiver", "DctcpSender",
+        "Flow", "FlowHandle", "open_flow", "open_flows",
+    ),
+    ".workloads": ("PAPER_MIX", "PoissonFlowGenerator", "WEB_SEARCH"),
+})

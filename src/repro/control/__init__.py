@@ -6,12 +6,7 @@ interface and the two shipped controllers
 optimizer behind X-AUTOTUNE (:mod:`repro.control.cem`).
 """
 
-from .cem import CemResult, cross_entropy_search
-from .controller import (CemController, ControllerRuntime, ControllerSpec,
-                         TheoremController, ThresholdController,
-                         build_runtime, controller_enabled,
-                         set_controller_default)
-from .observation import ObservationVector, PortSampler
+from .._lazy import lazy_exports
 
 __all__ = [
     "CemController",
@@ -27,3 +22,13 @@ __all__ = [
     "cross_entropy_search",
     "set_controller_default",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cem": ("CemResult", "cross_entropy_search"),
+    ".controller": (
+        "CemController", "ControllerRuntime", "ControllerSpec",
+        "TheoremController", "ThresholdController", "build_runtime",
+        "controller_enabled", "set_controller_default",
+    ),
+    ".observation": ("ObservationVector", "PortSampler"),
+})

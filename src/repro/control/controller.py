@@ -49,8 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .observation import ObservationVector
 
 __all__ = ["ControllerSpec", "ThresholdController", "TheoremController",
-           "CemController", "ControllerRuntime", "controller_enabled",
-           "set_controller_default"]
+           "CemController", "ControllerRuntime", "build_runtime",
+           "controller_enabled", "set_controller_default"]
 
 CONTROLLER_NAMES = ("theorem", "cem")
 

@@ -45,6 +45,8 @@ __all__ = [
     "queue_min_length",
     "worst_case_flow_count",
     "queue_min_lower_bound",
+    "sawtooth_peak",
+    "sawtooth_trajectory",
     "SteadyStateModel",
 ]
 

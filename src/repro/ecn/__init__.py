@@ -2,14 +2,7 @@
 and research baselines (MQ-ECN, TCN).  The paper's contribution, PMSB,
 lives in :mod:`repro.core`."""
 
-from .base import Marker, MarkPoint, NullMarker
-from .mq_ecn import MqEcnMarker
-from .per_port import PerPortMarker
-from .per_queue import PerQueueMarker, fractional_thresholds, standard_thresholds
-from .phantom import PhantomQueueMarker
-from .red import RedMarker
-from .service_pool import BufferPool, DynamicThresholdPool, ServicePoolMarker
-from .tcn import TcnMarker
+from .._lazy import lazy_exports
 
 __all__ = [
     "BufferPool",
@@ -27,3 +20,18 @@ __all__ = [
     "fractional_thresholds",
     "standard_thresholds",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Marker", "MarkPoint", "NullMarker"),
+    ".mq_ecn": ("MqEcnMarker",),
+    ".per_port": ("PerPortMarker",),
+    ".per_queue": (
+        "PerQueueMarker", "fractional_thresholds", "standard_thresholds",
+    ),
+    ".phantom": ("PhantomQueueMarker",),
+    ".red": ("RedMarker",),
+    ".service_pool": (
+        "BufferPool", "DynamicThresholdPool", "ServicePoolMarker",
+    ),
+    ".tcn": ("TcnMarker",),
+})

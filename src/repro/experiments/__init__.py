@@ -1,14 +1,6 @@
 """Experiment harness: one builder per paper figure/table (see DESIGN.md)."""
 
-from ..store import ExperimentSpec, RunConfig, RunRecord, RunStore
-from . import ablations, analysis_validation, chaos, extensions, largescale
-from . import marking_point, motivation, runner, static_flows
-from .chaos import chaos_point_spec, run_chaos_sweep
-from .largescale import fct_point_spec
-from .runner import available_jobs, run_parallel, seed_for
-from .scale import BENCH, PAPER, ScaleProfile, TINY
-from .scenario import (IncastResult, SCHEME_NAMES, SchemeSpec, incast_flows,
-                       make_scheme, run_incast)
+from .._lazy import lazy_exports
 
 __all__ = [
     "BENCH",
@@ -41,3 +33,18 @@ __all__ = [
     "seed_for",
     "static_flows",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "..store": ("ExperimentSpec", "RunConfig", "RunRecord", "RunStore"),
+    ".chaos": ("chaos_point_spec", "run_chaos_sweep"),
+    ".largescale": ("fct_point_spec",),
+    ".runner": ("available_jobs", "run_parallel", "seed_for"),
+    ".scale": ("BENCH", "PAPER", "ScaleProfile", "TINY"),
+    ".scenario": (
+        "IncastResult", "SCHEME_NAMES", "SchemeSpec", "incast_flows",
+        "make_scheme", "run_incast",
+    ),
+}, submodules=(
+    "ablations", "analysis_validation", "chaos", "extensions", "largescale",
+    "marking_point", "motivation", "runner", "static_flows",
+))

@@ -18,14 +18,15 @@ enough to see.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from ..ecn.base import MarkPoint
 from ..scheduling.fifo import FifoScheduler
 from ..store.spec import RunConfig
 from .scenario import SchemeSpec, incast_flows, make_scheme, run_incast
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TraceResult", "buffer_trace", "dctcp_enqueue_dequeue",
            "tcn_trace", "pmsb_trace", "pmsbe_trace"]

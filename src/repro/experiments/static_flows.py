@@ -8,9 +8,7 @@ for arbitrary scheduling policies (DWRR, WFQ, SP, SP+WFQ).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.stats import SummaryStats, summarize
 from ..scheduling.base import Scheduler
@@ -21,6 +19,9 @@ from ..scheduling.wfq import WfqScheduler
 from ..store.spec import RunConfig
 from .scenario import (IncastResult, SchemeSpec, incast_flows, make_scheme,
                        run_incast)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "weighted_fair_sharing",

@@ -1,22 +1,7 @@
 """Measurement: FCT collection, throughput meters, occupancy traces,
 slowdown, exports, and summary statistics."""
 
-from .export import (fct_records_to_csv, mean_of_summaries, rows_to_csv,
-                     series_to_csv, to_json)
-from .fabric_report import FabricReport, PortReport, fabric_report
-from .fct import (
-    FctCollector,
-    FctRecord,
-    LARGE_FLOW_MIN_BYTES,
-    SMALL_FLOW_MAX_BYTES,
-    SizeClass,
-    classify,
-)
-from .queue_trace import QueueOccupancyTrace
-from .slowdown import ideal_fct, slowdown_summary, slowdowns
-from .stats import (SummaryStats, bootstrap_ci, empirical_cdf, percentile,
-                    summarize)
-from .throughput import ThroughputMeter
+from .._lazy import lazy_exports
 
 __all__ = [
     "FabricReport",
@@ -44,3 +29,22 @@ __all__ = [
     "summarize",
     "to_json",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".export": (
+        "fct_records_to_csv", "mean_of_summaries", "rows_to_csv",
+        "series_to_csv", "to_json",
+    ),
+    ".fabric_report": ("FabricReport", "PortReport", "fabric_report"),
+    ".fct": (
+        "FctCollector", "FctRecord", "LARGE_FLOW_MIN_BYTES",
+        "SMALL_FLOW_MAX_BYTES", "SizeClass", "classify",
+    ),
+    ".queue_trace": ("QueueOccupancyTrace",),
+    ".slowdown": ("ideal_fct", "slowdown_summary", "slowdowns"),
+    ".stats": (
+        "SummaryStats", "bootstrap_ci", "empirical_cdf", "percentile",
+        "summarize",
+    ),
+    ".throughput": ("ThroughputMeter",),
+})

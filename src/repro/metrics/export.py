@@ -12,8 +12,6 @@ import json
 from dataclasses import asdict, is_dataclass
 from typing import Any, Iterable, List, Sequence, TextIO, Union
 
-import numpy as np
-
 from .fct import FctRecord
 from .stats import SummaryStats
 
@@ -111,6 +109,8 @@ def to_json(obj: Any, target: PathOrFile) -> None:
     """Serialize dataclasses / arrays / dicts to JSON."""
 
     def default(value):
+        import numpy as np
+
         if is_dataclass(value):
             return asdict(value)
         if isinstance(value, np.ndarray):

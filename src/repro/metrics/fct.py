@@ -19,7 +19,7 @@ from .stats import SummaryStats, summarize
 if TYPE_CHECKING:  # pragma: no cover
     from ..transport.dctcp import DctcpSender
 
-__all__ = ["SizeClass", "FctRecord", "FctCollector",
+__all__ = ["SizeClass", "FctRecord", "FctCollector", "classify",
            "SMALL_FLOW_MAX_BYTES", "LARGE_FLOW_MIN_BYTES"]
 
 #: Upper bound of a "small" flow (paper §VI-B: small flows ≤ 100 KB).

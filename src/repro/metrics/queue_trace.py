@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from ..net.packet import Packet
     from ..net.port import Port
 
@@ -57,6 +57,8 @@ class QueueOccupancyTrace:
 
     def mean(self) -> float:
         """Time-weighted mean occupancy over the trace."""
+        import numpy as np
+
         if len(self.times) < 2:
             return float(self.occupancy[0]) if self.occupancy else 0.0
         times = np.asarray(self.times)
@@ -68,4 +70,6 @@ class QueueOccupancyTrace:
         return float((values[:-1] * durations).sum() / total)
 
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         return np.asarray(self.times), np.asarray(self.occupancy)

@@ -1,13 +1,6 @@
 """Network substrate: packets, links, ports, switches, hosts, topologies."""
 
-from .host import Host
-from .interfaces import Device
-from .link import Link
-from .packet import ACK, ACK_BYTES, DATA, HEADER_BYTES, MTU_BYTES, Packet
-from .port import Port
-from .switch import Switch
-from .topology import (ClosGenerator, Network, TopologySpec, fat_tree,
-                       leaf_spine, single_bottleneck)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ACK",
@@ -28,3 +21,18 @@ __all__ = [
     "leaf_spine",
     "single_bottleneck",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".host": ("Host",),
+    ".interfaces": ("Device",),
+    ".link": ("Link",),
+    ".packet": (
+        "ACK", "ACK_BYTES", "DATA", "HEADER_BYTES", "MTU_BYTES", "Packet",
+    ),
+    ".port": ("Port",),
+    ".switch": ("Switch",),
+    ".topology": (
+        "ClosGenerator", "Network", "TopologySpec", "fat_tree", "leaf_spine",
+        "single_bottleneck",
+    ),
+})

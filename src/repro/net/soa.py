@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 from typing import List, TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .port import Port
 
 __all__ = ["PortArrays", "marker_port_threshold", "occupancy_integral"]
@@ -94,6 +94,8 @@ class PortArrays:
     __slots__ = ("_ports", "occupancy", "bytes", "threshold", "capacity")
 
     def __init__(self) -> None:
+        import numpy as np
+
         self._ports: List["Port"] = []
         #: Packets queued per port (after the last :meth:`sync`).
         self.occupancy = np.zeros(0, dtype=np.int64)
@@ -114,6 +116,8 @@ class PortArrays:
 
     def register(self, port: "Port") -> int:
         """Add ``port`` to the mirror; returns its array index."""
+        import numpy as np
+
         index = len(self._ports)
         self._ports.append(port)
         self.occupancy = np.append(self.occupancy, port.packet_count)

@@ -1,12 +1,6 @@
 """Packet schedulers: FIFO, strict priority, WRR, DWRR, WFQ, SP+WFQ."""
 
-from .base import Scheduler, normalize_weights
-from .dwrr import DwrrScheduler
-from .fifo import FifoScheduler
-from .hybrid import SpWfqScheduler
-from .strict_priority import StrictPriorityScheduler
-from .wfq import WfqScheduler
-from .wrr import WrrScheduler
+from .._lazy import lazy_exports
 
 __all__ = [
     "DwrrScheduler",
@@ -18,3 +12,13 @@ __all__ = [
     "WrrScheduler",
     "normalize_weights",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Scheduler", "normalize_weights"),
+    ".dwrr": ("DwrrScheduler",),
+    ".fifo": ("FifoScheduler",),
+    ".hybrid": ("SpWfqScheduler",),
+    ".strict_priority": ("StrictPriorityScheduler",),
+    ".wfq": ("WfqScheduler",),
+    ".wrr": ("WrrScheduler",),
+})

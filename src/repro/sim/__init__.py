@@ -1,12 +1,6 @@
 """Discrete-event simulation engine (event loop, timers, deterministic RNG)."""
 
-from .engine import Event, SimulationError, Simulator
-from .audit import FabricAuditor, InvariantViolation, audit_enabled, set_audit_default
-from .faults import (FAULT_MODELS, FaultScheduler, FaultSpec, faults_enabled,
-                     loss_spec, set_fault_default)
-from .profile import HeapSample, SimProfiler
-from .rng import make_rng, spawn, stable_hash
-from .timers import PeriodicTask, Timer
+from .._lazy import lazy_exports
 
 __all__ = [
     "Event",
@@ -30,3 +24,18 @@ __all__ = [
     "spawn",
     "stable_hash",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("Event", "SimulationError", "Simulator"),
+    ".audit": (
+        "FabricAuditor", "InvariantViolation", "audit_enabled",
+        "set_audit_default",
+    ),
+    ".faults": (
+        "FAULT_MODELS", "FaultScheduler", "FaultSpec", "faults_enabled",
+        "loss_spec", "set_fault_default",
+    ),
+    ".profile": ("HeapSample", "SimProfiler"),
+    ".rng": ("make_rng", "spawn", "stable_hash"),
+    ".timers": ("PeriodicTask", "Timer"),
+})

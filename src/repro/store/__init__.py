@@ -14,10 +14,7 @@ cacheable, addressable and resumable instead of ephemeral stdout:
   stored records.
 """
 
-from .spec import (ExperimentSpec, RunConfig, SPEC_SCHEMA_VERSION, UNSET,
-                   resolve_run_config)
-from .runstore import (RunRecord, RunStore, diff_records, git_revision,
-                       make_provenance)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ExperimentSpec",
@@ -31,3 +28,14 @@ __all__ = [
     "make_provenance",
     "resolve_run_config",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".spec": (
+        "ExperimentSpec", "RunConfig", "SPEC_SCHEMA_VERSION", "UNSET",
+        "resolve_run_config",
+    ),
+    ".runstore": (
+        "RunRecord", "RunStore", "diff_records", "git_revision",
+        "make_provenance",
+    ),
+})

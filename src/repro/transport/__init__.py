@@ -1,14 +1,6 @@
 """End-host transport: DCTCP with ECN-filter hook (PMSB(e)) and pacing."""
 
-from .base import DctcpConfig, PAYLOAD_BYTES, packets_for_bytes
-from .classic_ecn import ClassicEcnSender
-from .d2tcp import D2tcpSender
-from .dcqcn import DcqcnConfig, DcqcnReceiver, DcqcnSender, open_dcqcn_flow
-from .dctcp import DctcpSender
-from .endpoints import FlowHandle, open_flow, open_flows
-from .flow import Flow
-from .receiver import DctcpReceiver
-from .timely import TimelySender
+from .._lazy import lazy_exports
 
 __all__ = [
     "ClassicEcnSender",
@@ -28,3 +20,17 @@ __all__ = [
     "open_flows",
     "packets_for_bytes",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("DctcpConfig", "PAYLOAD_BYTES", "packets_for_bytes"),
+    ".classic_ecn": ("ClassicEcnSender",),
+    ".d2tcp": ("D2tcpSender",),
+    ".dcqcn": (
+        "DcqcnConfig", "DcqcnReceiver", "DcqcnSender", "open_dcqcn_flow",
+    ),
+    ".dctcp": ("DctcpSender",),
+    ".endpoints": ("FlowHandle", "open_flow", "open_flows"),
+    ".flow": ("Flow",),
+    ".receiver": ("DctcpReceiver",),
+    ".timely": ("TimelySender",),
+})

@@ -1,18 +1,6 @@
 """Workloads: flow-size distributions, Poisson arrivals, service mapping."""
 
-from .distributions import (
-    DATA_MINING,
-    EmpiricalCdf,
-    LogUniform,
-    Mixture,
-    PAPER_MIX,
-    Pareto,
-    SizeDistribution,
-    Uniform,
-    WEB_SEARCH,
-)
-from .generator import PoissonFlowGenerator
-from .services import assign_service, service_weights
+from .._lazy import lazy_exports
 
 __all__ = [
     "DATA_MINING",
@@ -28,3 +16,12 @@ __all__ = [
     "assign_service",
     "service_weights",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".distributions": (
+        "DATA_MINING", "EmpiricalCdf", "LogUniform", "Mixture", "PAPER_MIX",
+        "Pareto", "SizeDistribution", "Uniform", "WEB_SEARCH",
+    ),
+    ".generator": ("PoissonFlowGenerator",),
+    ".services": ("assign_service", "service_weights"),
+})

@@ -14,9 +14,11 @@ into an arrival rate.
 from __future__ import annotations
 
 import bisect
-from typing import Sequence, Tuple
+import itertools
+from typing import TYPE_CHECKING, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SizeDistribution",
@@ -86,10 +88,14 @@ class LogUniform(SizeDistribution):
         self.high = high
 
     def sample(self, rng: np.random.Generator) -> int:
+        import numpy as np
+
         value = np.exp(rng.uniform(np.log(self.low), np.log(self.high)))
         return max(self.low, min(self.high, int(round(value))))
 
     def mean_bytes(self) -> float:
+        import numpy as np
+
         span = np.log(self.high) - np.log(self.low)
         return float((self.high - self.low) / span)
 
@@ -121,6 +127,8 @@ class Pareto(SizeDistribution):
         return max(self.minimum, min(self.maximum, int(round(value))))
 
     def mean_bytes(self) -> float:
+        import numpy as np
+
         a, low, high = self.alpha, self.minimum, self.maximum
         if a == 1.0:
             return low * np.log(high / low) / (1.0 - low / high)
@@ -141,7 +149,7 @@ class Mixture(SizeDistribution):
             raise ValueError("mixture weights must sum to a positive value")
         self._probs = [weight / total for weight, _dist in components]
         self._dists = [dist for _weight, dist in components]
-        self._cum = list(np.cumsum(self._probs))
+        self._cum = list(itertools.accumulate(self._probs))
 
     def sample(self, rng: np.random.Generator) -> int:
         u = rng.random()

@@ -14,13 +14,14 @@ is pinned to one of the 8 services (→ switch queues).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..transport.flow import Flow
 from .distributions import SizeDistribution
 from .services import assign_service
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["PoissonFlowGenerator"]
 

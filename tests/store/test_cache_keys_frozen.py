@@ -7,9 +7,18 @@ builder, and its compatibility contract is that historical call shapes
 exact historical keys — otherwise every user's cache would silently
 cold-start.  Only genuinely new fabrics (an explicit non-default
 TopologySpec) may mint new keys.
+
+The keys are also pinned in a fresh interpreter that never imports
+numpy: ``stable_digest`` only recognises numpy scalars once numpy is
+loaded, and that lazy path must not change a single byte of any key.
 """
 
 from __future__ import annotations
+
+import json
+import pathlib
+import subprocess
+import sys
 
 from repro.experiments.autotune import autotune_point_spec
 from repro.experiments.chaos import chaos_point_spec
@@ -34,19 +43,34 @@ FROZEN_KEYS = {
         "50b93abfd5bd520033dbd3bf18243b08a62b98fbd6815956f959115083ea01dc",
 }
 
+#: The historical call shape behind each frozen key.
+PINNED_SPECS = {
+    "fct-default": lambda: fct_point_spec("pmsb", "dwrr", 0.5, TINY, 3),
+    "fct-wfq-audit": lambda: fct_point_spec("pmsb", "wfq", 0.3, BENCH, 1,
+                                            audit=True),
+    "fct-fat-tree": lambda: fct_point_spec("pmsb", "dwrr", 0.5, TINY, 3,
+                                           topology="fat-tree", fat_tree_k=4),
+    "sharedbuf-dt": lambda: sharedbuf_point_spec(
+        "pmsb", "dwrr", SharedBufferSpec(policy="dt", capacity=64, alpha=1.0),
+        TINY, 7),
+    "chaos-iid": lambda: chaos_point_spec("pmsb", "dwrr", 0.5, TINY, 3,
+                                          model="iid-loss", loss_rate=0.001),
+    "autotune": lambda: autotune_point_spec(12.0, 24.0, "dwrr", 0.3, 0.7,
+                                            TINY, 1, chaos=False),
+}
+
 
 class TestHistoricalKeysUnchanged:
     def test_fct_default_leaf_spine(self):
-        spec = fct_point_spec("pmsb", "dwrr", 0.5, TINY, 3)
+        spec = PINNED_SPECS["fct-default"]()
         assert spec.key() == FROZEN_KEYS["fct-default"]
 
     def test_fct_wfq_audit(self):
-        spec = fct_point_spec("pmsb", "wfq", 0.3, BENCH, 1, audit=True)
+        spec = PINNED_SPECS["fct-wfq-audit"]()
         assert spec.key() == FROZEN_KEYS["fct-wfq-audit"]
 
     def test_fct_legacy_fat_tree_string(self):
-        spec = fct_point_spec("pmsb", "dwrr", 0.5, TINY, 3,
-                              topology="fat-tree", fat_tree_k=4)
+        spec = PINNED_SPECS["fct-fat-tree"]()
         assert spec.key() == FROZEN_KEYS["fct-fat-tree"]
 
     def test_fct_spec_object_matches_legacy_string(self):
@@ -62,19 +86,30 @@ class TestHistoricalKeysUnchanged:
         assert spec.key() == FROZEN_KEYS["fct-default"]
 
     def test_sharedbuf(self):
-        policy = SharedBufferSpec(policy="dt", capacity=64, alpha=1.0)
-        spec = sharedbuf_point_spec("pmsb", "dwrr", policy, TINY, 7)
+        spec = PINNED_SPECS["sharedbuf-dt"]()
         assert spec.key() == FROZEN_KEYS["sharedbuf-dt"]
 
     def test_chaos(self):
-        spec = chaos_point_spec("pmsb", "dwrr", 0.5, TINY, 3,
-                                model="iid-loss", loss_rate=0.001)
+        spec = PINNED_SPECS["chaos-iid"]()
         assert spec.key() == FROZEN_KEYS["chaos-iid"]
 
     def test_autotune(self):
-        spec = autotune_point_spec(12.0, 24.0, "dwrr", 0.3, 0.7, TINY, 1,
-                                   chaos=False)
+        spec = PINNED_SPECS["autotune"]()
         assert spec.key() == FROZEN_KEYS["autotune"]
+
+    def test_keys_without_numpy_loaded(self):
+        """Every pinned key, computed in a fresh interpreter before numpy
+        is imported, matches byte for byte."""
+        script = (
+            "import json, sys\n"
+            "from tests.store.test_cache_keys_frozen import PINNED_SPECS\n"
+            "keys = {name: build().key() for name, build in PINNED_SPECS.items()}\n"
+            "print(json.dumps({'numpy': 'numpy' in sys.modules, 'keys': keys}))\n"
+        )
+        root = pathlib.Path(__file__).resolve().parents[2]
+        out = subprocess.run([sys.executable, "-c", script], cwd=root,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == {"numpy": False, "keys": FROZEN_KEYS}
 
 
 class TestNewFabricsReKey:
