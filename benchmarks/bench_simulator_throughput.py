@@ -8,8 +8,8 @@ a long incast that asserts the engine's heap compaction keeps
 lazy-cancellation debt bounded (every ACK pushes the RTO timer back;
 without compaction + lazy timer push-back the heap grows with dead
 entries and every push/pop pays an extra log factor), and an A/B run
-of the optimized datapath (timing-wheel tier + packet pool + flattened
-fan-out) against the ``REPRO_SLOW_PATH`` reference engine that records
+of the optimized datapath (timing-wheel tier + flattened fan-out)
+against the ``REPRO_SLOW_PATH`` reference engine that records
 the measured speedup in ``BENCH_engine.json`` at the repo root.
 
 The A/B run interleaves fast, slow, and packet-train trials in one
@@ -39,7 +39,6 @@ from conftest import heading
 
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.core.pmsb import PmsbMarker
-from repro.net.packet import POOL, set_pooling
 from repro.net.topology import TopologySpec
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTask
@@ -140,9 +139,7 @@ def test_incast_heap_stays_bounded(benchmark):
 
 
 def _incast_trial(slow: bool, trains: int = 1):
-    """One cold 1:8 PMSB incast; returns (events, elapsed, wheel, pool_hit)."""
-    set_pooling(not slow)
-    POOL.reset()
+    """One cold 1:8 PMSB incast; returns (events, elapsed, wheel)."""
     sim = Simulator(slow_path=slow)
     network = INCAST_FABRIC.build(
         sim, lambda: DwrrScheduler(2), lambda: PmsbMarker(16))
@@ -154,8 +151,7 @@ def _incast_trial(slow: bool, trains: int = 1):
     start = perf_counter()
     sim.run(until=AB_DURATION)
     elapsed = perf_counter() - start
-    return (sim.events_processed, elapsed,
-            sim.wheel_events_processed, POOL.hit_rate())
+    return sim.events_processed, elapsed, sim.wheel_events_processed
 
 
 def test_engine_ab_speedup_and_bench_json():
@@ -165,25 +161,19 @@ def test_engine_ab_speedup_and_bench_json():
     and asserts the speedup gate; also cross-checks determinism (both
     modes must execute the identical number of events).
     """
-    baseline_enabled = POOL.enabled
     fast_rates, slow_rates, train_walls, fast_walls = [], [], [], []
     fast_events = slow_events = train_events = 0
     wheel_events = 0
-    pool_hit = 0.0
-    try:
-        _incast_trial(slow=False)  # warm code paths once, untimed
-        _incast_trial(slow=False, trains=16)
-        for _ in range(AB_PAIRS):
-            fast_events, elapsed, wheel_events, pool_hit = \
-                _incast_trial(slow=False)
-            fast_rates.append(fast_events / elapsed)
-            fast_walls.append(elapsed)
-            slow_events, elapsed, _, _ = _incast_trial(slow=True)
-            slow_rates.append(slow_events / elapsed)
-            train_events, elapsed, _, _ = _incast_trial(slow=False, trains=16)
-            train_walls.append(elapsed)
-    finally:
-        set_pooling(baseline_enabled)
+    _incast_trial(slow=False)  # warm code paths once, untimed
+    _incast_trial(slow=False, trains=16)
+    for _ in range(AB_PAIRS):
+        fast_events, elapsed, wheel_events = _incast_trial(slow=False)
+        fast_rates.append(fast_events / elapsed)
+        fast_walls.append(elapsed)
+        slow_events, elapsed, _ = _incast_trial(slow=True)
+        slow_rates.append(slow_events / elapsed)
+        train_events, elapsed, _ = _incast_trial(slow=False, trains=16)
+        train_walls.append(elapsed)
 
     fast = median(fast_rates)
     slow = median(slow_rates)
@@ -200,11 +190,11 @@ def test_engine_ab_speedup_and_bench_json():
         "trials_per_mode": AB_PAIRS,
         "events_per_run": fast_events,
         "before": {
-            "mode": "REPRO_SLOW_PATH reference (heap-only, pooling off)",
+            "mode": "REPRO_SLOW_PATH reference (heap-only)",
             "events_per_second": round(slow),
         },
         "after": {
-            "mode": "optimized (timing wheel + packet pool + flat fan-out)",
+            "mode": "optimized (timing wheel + flat fan-out)",
             "events_per_second": round(fast),
         },
         "speedup": round(speedup, 3),
@@ -215,7 +205,6 @@ def test_engine_ab_speedup_and_bench_json():
             "speedup_vs_after": round(train_speedup, 3),
         },
         "wheel_share": round(wheel_share, 3),
-        "pool_hit_rate": round(pool_hit, 3),
     }
 
     regression_env = os.environ.get("REPRO_ENGINE_REGRESSION_FACTOR")
@@ -226,8 +215,7 @@ def test_engine_ab_speedup_and_bench_json():
 
     heading("Engine A/B — optimized vs REPRO_SLOW_PATH reference")
     print(f"after  {fast:,.0f} ev/s | before {slow:,.0f} ev/s | "
-          f"speedup {speedup:.2f}x | wheel share {wheel_share:.1%} | "
-          f"pool hit rate {pool_hit:.1%}")
+          f"speedup {speedup:.2f}x | wheel share {wheel_share:.1%}")
     print(f"trains {train_equiv:,.0f} equivalent ev/s "
           f"({train_events} events stand in for {fast_events}) | "
           f"{train_speedup:.2f}x over the per-packet fast path")
@@ -236,7 +224,6 @@ def test_engine_ab_speedup_and_bench_json():
     # the event sequence.
     assert fast_events == slow_events
     assert wheel_share > 0.5          # the wheel tier actually engaged
-    assert pool_hit > 0.5             # the pool actually recycled
     # The train tier must actually coalesce: far fewer events, same traffic.
     assert train_events < fast_events // 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..sim.engine import Simulator
-from .packet import DATA, Packet, release
+from .packet import DATA, Packet
 from .port import Port
 
 __all__ = ["Host"]
@@ -70,10 +70,7 @@ class Host:
         # call per delivered packet on the hottest dispatch point.
         handlers = self._ack_handlers if packet.kind != DATA else self._data_handlers
         handler = handlers.get(packet.flow_id)
+        # A packet of an unregistered flow is silently dropped,
+        # mirroring a real host discarding segments for closed connections.
         if handler is not None:
             handler(packet)
-        else:
-            # Unregistered flow: silently dropped, mirroring a real host
-            # discarding segments for closed connections.  This host is
-            # the packet's terminal consumer, so recycle it.
-            release(packet)

@@ -30,7 +30,7 @@ from ..scheduling.base import Scheduler
 from ..sim.engine import Simulator
 from .interfaces import DequeueListener, DropListener, EnqueueListener
 from .link import Link
-from .packet import DATA, POOL, Packet, release, split_train
+from .packet import DATA, Packet, split_train
 from .soa import marker_port_threshold
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -289,7 +289,7 @@ class Port:
         """Demote a train to individual packets and enqueue each one.
 
         The original object becomes the first segment (keeping its uid);
-        the rest are pool-backed clones with consecutive sequence
+        the rest are fresh clones with consecutive sequence
         numbers.  Returns False only when *every* segment was dropped.
         """
         n = packet.train
@@ -307,8 +307,8 @@ class Port:
         packet.size = segment
         admitted = self.enqueue(packet, queue_index)
         for i in range(1, n):
-            seg = POOL.acquire(DATA, flow_id, src, dst, base_seq + i,
-                               segment, service, ect)
+            seg = Packet(DATA, flow_id, src, dst, base_seq + i,
+                         segment, service, ect)
             seg.ce = ce
             seg.sent_time = sent_time
             seg.retransmit = retransmit
@@ -323,9 +323,6 @@ class Port:
         if listeners:
             for listener in listeners:
                 listener(self, queue_index, packet)
-        # The drop site is the packet's terminal consumer (listeners have
-        # observed it above; pinned packets are left untouched).
-        release(packet)
         return False
 
     def _transmit_next(self) -> None:

@@ -71,10 +71,6 @@ class PacketTrace:
         if self._flow_filter is not None and not self._flow_filter(
                 packet.flow_id):
             return
-        # A captured packet is permanently exempt from pool recycling:
-        # debugging sessions may hold or inspect it long after the
-        # datapath's terminal consumer released it.
-        packet.pinned = True
         self.events.append(
             PacketEvent(
                 time=port.sim.now,

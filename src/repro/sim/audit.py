@@ -380,10 +380,6 @@ class FabricAuditor:
 
     def _on_enqueue(self, port: "Port", queue_index: int, packet) -> None:
         state = self._ports[port]
-        # Audited packets are exempt from pool recycling: the transit
-        # ledger cross-checks their fields between enqueue and dequeue,
-        # which a reused object would silently falsify.
-        packet.pinned = True
         state.enq_packets += 1
         state.enq_bytes += packet.size
         event = f"enqueue(queue={queue_index}, pkt={packet.uid})"

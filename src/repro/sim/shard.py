@@ -38,7 +38,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..net.packet import POOL, release
+from ..net.packet import Packet
 from ..net.topology import Network, partition_groups
 from .engine import Simulator
 
@@ -198,8 +198,7 @@ class BoundaryStub:
     The owning link has been re-pointed (``link.dst = stub``) with its
     delay zeroed, so :meth:`receive` fires at the exact simulated time
     ``deliver()`` ran; the stub recomputes the neighbour-side arrival
-    with the original wire delay and releases the packet back to the
-    pool.
+    with the original wire delay.
     """
 
     __slots__ = ("fabric", "link_name", "wire_delay", "dst_owner", "seq")
@@ -222,7 +221,6 @@ class BoundaryStub:
             packet.ect, packet.ce, packet.ece, packet.ack_seq,
             packet.echo_time, packet.sent_time, packet.retransmit))
         fabric.exported += 1
-        release(packet)
 
 
 class _DeadEnd:
@@ -319,8 +317,7 @@ class CutFabric:
         for (when, link_name, _link_seq, kind, flow_id, src, dst, seq,
              size, service, ect, ce, ece, ack_seq, echo_time, sent_time,
              retransmit) in entries:
-            packet = POOL.acquire(kind, flow_id, src, dst, seq, size,
-                                  service, ect)
+            packet = Packet(kind, flow_id, src, dst, seq, size, service, ect)
             packet.ce = ce
             packet.ece = ece
             packet.ack_seq = ack_seq

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..net.host import Host
-from ..net.packet import Packet, make_data, release
+from ..net.packet import Packet, make_data
 from ..sim.engine import Simulator
 from ..sim.timers import Timer
 from .base import DctcpConfig
@@ -158,12 +158,9 @@ class DctcpSender:
     def on_ack(self, ack: Packet) -> None:
         """Host demux entry point for this flow's ACKs.
 
-        The sender is the ACK's terminal consumer: the packet is recycled
-        through the pool when processing finishes (observers that keep
-        references pin their packets, which makes the release a no-op).
+        ACKs that arrive after the flow completed are ignored.
         """
         if self.completed:
-            release(ack)
             return
         self.acks_received += 1
         rtt_sample = self._take_rtt_sample(ack)
@@ -177,7 +174,6 @@ class DctcpSender:
             self._on_new_ack(ack.ack_seq, grow=not cut_applied)
         else:
             self._on_duplicate_ack()
-        release(ack)
 
     def _take_rtt_sample(self, ack: Packet) -> Optional[float]:
         if ack.retransmit or ack.echo_time is None:

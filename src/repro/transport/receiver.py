@@ -15,29 +15,19 @@ Two acknowledgement modes:
 
 Out-of-order data always triggers an immediate duplicate ACK so fast
 retransmit works regardless of mode.
-
-The receiver is the terminal consumer of every data packet dispatched to
-it: ``on_data`` recycles the packet through the packet pool when it
-returns.  Coalesced-ACK state therefore keeps only a scalar metadata
-tuple of the last data packet (never the object itself), so a delayed
-ACK can be built long after the packet was recycled.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Optional, Set
 
 from ..net.host import Host
-from ..net.packet import Packet, make_reply_ack, release
+from ..net.packet import Packet, make_ack
 from ..sim.engine import Simulator
 from ..sim.timers import Timer
 from .flow import Flow
 
 __all__ = ["DctcpReceiver"]
-
-#: Scalar fields of the data packet a coalesced ACK answers:
-#: (flow_id, ack_src, ack_dst, seq, service, echo_time, retransmit, train).
-AckMeta = Tuple[int, int, int, int, int, Optional[float], bool, int]
 
 
 class DctcpReceiver:
@@ -52,7 +42,7 @@ class DctcpReceiver:
         "_out_of_order",
         "_pending_acks",
         "_ce_state",
-        "_last_meta",
+        "_last_data",
         "_delack_timer",
         "delack_timeout",
         "packets_received",
@@ -76,7 +66,8 @@ class DctcpReceiver:
         self._out_of_order: Set[int] = set()
         self._pending_acks = 0
         self._ce_state = False
-        self._last_meta: Optional[AckMeta] = None
+        #: The last data packet received: the one a (coalesced) ACK answers.
+        self._last_data: Optional[Packet] = None
         self._delack_timer = Timer(sim, self._on_delack_timeout)
         #: Seconds a coalesced ACK may be delayed before the timer fires.
         self.delack_timeout = delack_timeout
@@ -87,13 +78,6 @@ class DctcpReceiver:
         self.acks_sent = 0
         self.first_arrival: Optional[float] = None
         self.last_arrival: Optional[float] = None
-
-    @staticmethod
-    def _meta(packet: Packet) -> AckMeta:
-        # Matches make_ack: the ACK's src is the data packet's dst.
-        return (packet.flow_id, packet.dst, packet.src, packet.seq,
-                packet.service, packet.sent_time, packet.retransmit,
-                packet.train)
 
     def on_data(self, packet: Packet) -> None:
         """Host demux entry point for this flow's data packets."""
@@ -109,7 +93,7 @@ class DctcpReceiver:
             # CE transition: flush the coalesced ACK *before* this packet
             # advances the cumulative point, carrying the old CE state —
             # the marked-byte accounting partitions exactly.  The flush
-            # uses the *previous* packet's metadata.
+            # answers the *previous* packet.
             self._flush_pending(ece=self._ce_state)
 
         seq = packet.seq
@@ -136,11 +120,10 @@ class DctcpReceiver:
             # Below the cumulative ACK point: a spurious retransmission.
             self.duplicate_packets += 1
 
-        self._last_meta = self._meta(packet)
+        self._last_data = packet
         if self.ack_every == 1 or not in_order or self._out_of_order:
             # Accurate-echo mode, or a gap: acknowledge immediately.
             self._flush_pending(ece=packet.ce)
-            release(packet)
             return
 
         # Delayed-ACK mode with the DCTCP CE state machine (any pending
@@ -156,22 +139,13 @@ class DctcpReceiver:
             self._flush_pending(ece=packet.ce)
         else:
             self._delack_timer.restart(self.delack_timeout)
-        release(packet)
 
     def _flush_pending(self, ece: bool) -> None:
         self._pending_acks = 0
         self._delack_timer.cancel()
         self.acks_sent += 1
-        (flow_id, src, dst, seq, service, echo_time, retransmit,
-         train) = self._last_meta
-        ack = make_reply_ack(
-            flow_id, src, dst, seq, service, echo_time, retransmit,
-            self.expected_seq, ece)
-        # Echo the width of the acknowledged data unit so the sender can
-        # weight its alpha accounting by segments, not ACK events.
-        ack.train = train
-        self.host.send(ack)
+        self.host.send(make_ack(self._last_data, self.expected_seq, ece))
 
     def _on_delack_timeout(self) -> None:
-        if self._pending_acks > 0 and self._last_meta is not None:
+        if self._pending_acks > 0 and self._last_data is not None:
             self._flush_pending(ece=self._ce_state)

@@ -7,7 +7,7 @@ import pytest
 from repro.core.pmsb import PmsbMarker
 from repro.ecn.base import NullMarker
 from repro.net.link import Link
-from repro.net.packet import POOL, make_data, set_pooling
+from repro.net.packet import make_data
 from repro.net.topology import leaf_spine, single_bottleneck
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.scheduling.fifo import FifoScheduler
@@ -17,13 +17,6 @@ from repro.transport.endpoints import open_flow
 from repro.transport.flow import Flow
 
 pytestmark = pytest.mark.slow
-
-
-@pytest.fixture(autouse=True)
-def _restore_pooling():
-    baseline = POOL.enabled
-    yield
-    set_pooling(baseline)
 
 
 class Sink:
@@ -93,20 +86,6 @@ class TestInFlightKill:
         sim.run()
         assert [p.seq for p in sink.received] == [1]
         assert link.packets_delivered == 1
-
-    def test_killed_packet_released_to_pool_exactly_once(self, sim):
-        set_pooling(True)
-        POOL.free.clear()
-        released_before = POOL.released
-        sink = Sink()
-        link = Link(sim, 1e9, 1e-3, sink)
-        packet = make_data(1, 0, 1, 0)
-        link.deliver(packet)
-        sim.at(0.5e-3, link.set_down)
-        sim.run()
-        assert POOL.released == released_before + 1
-        assert packet.pooled
-        assert POOL.free.count(packet) == 1
 
 
 class TestTransportSurvivesFlap:

@@ -27,19 +27,11 @@ from repro.experiments.largescale import (
 from repro.experiments.scale import TINY
 from repro.experiments.scenario import incast_flows, make_scheme, run_incast
 from repro.experiments.sharded import sharded_fct_point
-from repro.net.packet import POOL, set_pooling
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.faults import FaultSpec
 from repro.store.spec import RunConfig
 
 pytestmark = pytest.mark.slow
-
-
-@pytest.fixture(autouse=True)
-def _restore_pooling():
-    baseline = POOL.enabled
-    yield
-    set_pooling(baseline)
 
 
 def _fct_row(scheme, scheduler, shards, **kw):
@@ -68,7 +60,6 @@ class TestFctByteIdentity:
 
     def test_slow_path_matches(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-        set_pooling(False)
         assert _fct_row("pmsb", "dwrr", 1) == _fct_row("pmsb", "dwrr", 2)
 
     def test_serial_executor_matches(self):

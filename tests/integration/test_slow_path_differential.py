@@ -1,17 +1,16 @@
 """Differential determinism: slow path vs. optimized datapath.
 
-The engine's fast path (timing-wheel tier, fire-and-forget scheduling,
-packet pooling) is a pure performance substitution — it must never
-change *what* a simulation computes, only how fast.  These tests run the
-same experiments twice, once with ``REPRO_SLOW_PATH=1`` and pooling
-disabled (the reference heap-only engine) and once on the optimized
-path, and require exact equality of the results — byte-identical JSON
+The engine's fast path (timing-wheel tier, whole-bucket drain,
+fire-and-forget scheduling) is a pure performance substitution — it must
+never change *what* a simulation computes, only how fast.  These tests
+run the same experiments twice, once with ``REPRO_SLOW_PATH=1`` (the
+reference heap-only engine) and once on the optimized path, and require
+exact equality of the results — byte-identical JSON
 exports for the CLI figures, field-exact FCT rows for the sweep point —
 across schemes, schedulers, and with the fabric auditor attached.
 
 ``REPRO_SLOW_PATH`` is read per :class:`~repro.sim.engine.Simulator`
-construction and pooling is a module-level switch, so both modes can be
-toggled in-process between runs.
+construction, so both modes can be toggled in-process between runs.
 """
 
 from __future__ import annotations
@@ -24,27 +23,17 @@ from repro.cli import main
 from repro.experiments.chaos import chaos_faults
 from repro.experiments.largescale import run_fct_point
 from repro.experiments.scale import TINY
-from repro.net.packet import POOL, set_pooling
 from repro.sim.faults import FaultSpec
 
 pytestmark = pytest.mark.slow
 
 
-@pytest.fixture(autouse=True)
-def _restore_pooling():
-    baseline = POOL.enabled
-    yield
-    set_pooling(baseline)
-
-
 def _go_fast(monkeypatch) -> None:
     monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
-    set_pooling(True)
 
 
 def _go_slow(monkeypatch) -> None:
     monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-    set_pooling(False)
 
 
 def _fct_row(scheme: str, scheduler: str):
@@ -72,14 +61,12 @@ class TestFctSweepPoint:
 
     def test_modes_actually_differ_in_engine_tier(self, monkeypatch):
         # Guard against the differential becoming vacuous: the fast run
-        # must exercise the wheel tier and the pool, the slow run neither.
+        # must exercise the wheel tier, the slow run must not.
         from repro.sim.engine import Simulator
         _go_fast(monkeypatch)
         assert not Simulator()._slow
-        assert POOL.enabled
         _go_slow(monkeypatch)
         assert Simulator()._slow
-        assert not POOL.enabled
 
 
 class TestCliExports:
@@ -120,7 +107,7 @@ class TestFaultedDifferential:
     """The chaos layer must not decohere the two engine paths: fault
     RNG draws happen at ``Link.deliver()`` time, so identical
     FaultSpecs must produce identical loss patterns — and identical
-    results — on the wheel/pool fast path and the reference engine."""
+    results — on the wheel fast path and the reference engine."""
 
     @pytest.mark.parametrize("model,rate", [
         ("iid-loss", 1e-3),

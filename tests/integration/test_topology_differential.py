@@ -25,7 +25,6 @@ import pytest
 from repro.experiments.largescale import run_fct_point
 from repro.experiments.scale import TINY
 from repro.experiments.scenario import incast_flows, make_scheme, run_incast
-from repro.net.packet import POOL, set_pooling
 from repro.net.topology import TopologySpec
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.rng import stable_digest
@@ -48,20 +47,11 @@ PRE_REDESIGN_INCAST_DIGEST = (
     "af00f3c12c8d16bb0e6fcced15b1477a3e34a09f11bcc6373e972a553be7aa8a")
 
 
-@pytest.fixture(autouse=True)
-def _restore_pooling():
-    baseline = POOL.enabled
-    yield
-    set_pooling(baseline)
-
-
 def _set_engine(monkeypatch, slow: bool) -> None:
     if slow:
         monkeypatch.setenv("REPRO_SLOW_PATH", "1")
-        set_pooling(False)
     else:
         monkeypatch.delenv("REPRO_SLOW_PATH", raising=False)
-        set_pooling(True)
 
 
 def _fct_digest(topology: str, audit: bool) -> str:

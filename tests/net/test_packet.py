@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.net.packet import (ACK, ACK_BYTES, DATA, MTU_BYTES,
-                              make_ack, make_data)
+from repro.net.packet import ACK, ACK_BYTES, MTU_BYTES, make_ack, make_data
 
 
 class TestPacket:
@@ -68,129 +67,8 @@ class TestMakeAck:
         assert make_ack(self._data(retransmit=True), 4, False).retransmit is True
         assert make_ack(self._data(), 4, False).retransmit is False
 
-
-class TestPacketPool:
-    """The bounded free-list behind make_data/make_ack."""
-
-    def _fresh_pool(self):
-        from repro.net.packet import PacketPool
-        return PacketPool(max_free=4, enabled=True)
-
-    def test_release_then_acquire_reuses_the_object(self):
-        pool = self._fresh_pool()
-        first = pool.acquire(DATA, 1, 0, 1, 0, MTU_BYTES, 0, True)
-        pool.release(first)
-        second = pool.acquire(DATA, 2, 3, 4, 5, MTU_BYTES, 1, True)
-        assert second is first
-        assert pool.reused == 1
-        assert pool.allocated == 1
-
-    def test_reused_packet_gets_a_fresh_uid(self):
-        pool = self._fresh_pool()
-        packet = pool.acquire(DATA, 1, 0, 1, 0, MTU_BYTES, 0, True)
-        old_uid = packet.uid
-        pool.release(packet)
-        recycled = pool.acquire(DATA, 1, 0, 1, 1, MTU_BYTES, 0, True)
-        assert recycled.uid > old_uid
-
-    def test_acquire_resets_every_mutable_field(self):
-        pool = self._fresh_pool()
-        packet = pool.acquire(ACK, 1, 0, 1, 7, ACK_BYTES, 0, False)
-        packet.ce = True
-        packet.ece = True
-        packet.ack_seq = 99
-        packet.echo_time = 1.5
-        packet.sent_time = 1.0
-        packet.enqueue_time = 1.2
-        packet.retransmit = True
-        pool.release(packet)
-        fresh = pool.acquire(DATA, 2, 3, 4, 5, MTU_BYTES, 1, True)
-        assert fresh is packet
-        assert fresh.kind == DATA and fresh.seq == 5
-        assert not fresh.ce and not fresh.ece
-        assert fresh.ack_seq == 0
-        assert fresh.echo_time is None
-        assert fresh.sent_time is None
-        assert fresh.enqueue_time is None
-        assert not fresh.retransmit
-        assert not fresh.pinned and not fresh.pooled
-
-    def test_pinned_packets_are_never_recycled(self):
-        pool = self._fresh_pool()
-        packet = pool.acquire(DATA, 1, 0, 1, 0, MTU_BYTES, 0, True)
-        packet.pinned = True
-        pool.release(packet)
-        assert pool.pinned_skips == 1
-        assert len(pool.free) == 0
-        other = pool.acquire(DATA, 1, 0, 1, 1, MTU_BYTES, 0, True)
-        assert other is not packet
-
-    def test_double_release_is_ignored(self):
-        pool = self._fresh_pool()
-        packet = pool.acquire(DATA, 1, 0, 1, 0, MTU_BYTES, 0, True)
-        pool.release(packet)
-        pool.release(packet)
-        assert pool.released == 1
-        assert len(pool.free) == 1
-
-    def test_free_list_is_bounded(self):
-        pool = self._fresh_pool()
-        packets = [pool.acquire(DATA, 1, 0, 1, s, MTU_BYTES, 0, True)
-                   for s in range(10)]
-        for packet in packets:
-            pool.release(packet)
-        assert len(pool.free) == pool.max_free
-
-    def test_disabled_pool_never_stores(self):
-        from repro.net.packet import PacketPool
-        pool = PacketPool(enabled=False)
-        packet = pool.acquire(DATA, 1, 0, 1, 0, MTU_BYTES, 0, True)
-        pool.release(packet)
-        assert len(pool.free) == 0
-
-    def test_hit_rate_and_stats(self):
-        pool = self._fresh_pool()
-        assert pool.hit_rate() == 0.0
-        a = pool.acquire(DATA, 1, 0, 1, 0, MTU_BYTES, 0, True)
-        pool.release(a)
-        pool.acquire(DATA, 1, 0, 1, 1, MTU_BYTES, 0, True)
-        assert pool.hit_rate() == 0.5
-        stats = pool.stats()
-        assert stats["allocated"] == 1 and stats["reused"] == 1
-        assert pool.acquires == 2
-
-    def test_set_pooling_disable_drops_free_list(self):
-        from repro.net.packet import POOL, set_pooling
-        baseline_enabled = POOL.enabled
-        try:
-            set_pooling(True)
-            packet = make_data(900001, 0, 1, 0)
-            POOL.release(packet)
-            assert packet in POOL.free
-            set_pooling(False)
-            assert len(POOL.free) == 0
-            replacement = make_data(900001, 0, 1, 1)
-            assert replacement is not packet
-        finally:
-            set_pooling(baseline_enabled)
-
-    def test_uid_sequence_identical_with_and_without_pooling(self):
-        """The determinism contract: pooling must not perturb uids."""
-        from repro.net.packet import PacketPool
-        pooled = PacketPool(enabled=True)
-        direct = PacketPool(enabled=False)
-
-        def uids(pool):
-            out = []
-            for seq in range(4):
-                packet = pool.acquire(DATA, 1, 0, 1, seq, MTU_BYTES, 0, True)
-                out.append(packet.uid)
-                pool.release(packet)
-            return out
-
-        first = uids(pooled)
-        second = uids(direct)
-        # Interleaved draws from one shared counter: both sequences are
-        # strictly increasing gap-one successions regardless of pooling.
-        assert [b - a for a, b in zip(first, first[1:])] == [1, 1, 1]
-        assert [b - a for a, b in zip(second, second[1:])] == [1, 1, 1]
+    def test_ack_echoes_train_width(self):
+        data = self._data()
+        data.train = 16
+        assert make_ack(data, 4, False).train == 16
+        assert make_ack(self._data(), 4, False).train == 1

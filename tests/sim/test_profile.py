@@ -153,7 +153,7 @@ class TestComponentHooks:
 
 
 class TestEngineTierAndPoolAccounting:
-    """Wheel/heap split and pool hit rate over the profiled span."""
+    """Wheel/heap split over the profiled span."""
 
     def test_tier_split_reconciles_with_events_executed(self, sim):
         profiler = SimProfiler(sim, sample_interval=1e-3)
@@ -183,23 +183,7 @@ class TestEngineTierAndPoolAccounting:
         assert (profiler.wheel_events_executed + profiler.heap_events_executed
                 == profiler.events_executed)
 
-    def test_pool_hit_rate_tracks_span_deltas(self, sim):
-        from repro.net.packet import POOL, make_data, release, set_pooling
-        baseline_enabled = POOL.enabled
-        profiler = SimProfiler(sim)
-        try:
-            set_pooling(True)
-            profiler.start()
-            first = make_data(910001, 0, 1, 0)
-            release(first)
-            second = make_data(910001, 0, 1, 1)   # served from the pool
-            profiler.stop()
-            assert profiler.pool_hit_rate() > 0.0
-            release(second)
-        finally:
-            set_pooling(baseline_enabled)
-
-    def test_report_includes_tier_split_and_pool(self, sim):
+    def test_report_includes_tier_split(self, sim):
         profiler = SimProfiler(sim, sample_interval=0.1)
         profiler.start()
         sim.schedule(1e-4, lambda: None)
@@ -208,4 +192,3 @@ class TestEngineTierAndPoolAccounting:
         report = profiler.report()
         assert "tier split" in report
         assert "wheel" in report
-        assert "pool hit rate" in report

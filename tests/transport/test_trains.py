@@ -8,7 +8,7 @@ weighting, and the configuration guard rails.
 import pytest
 
 from repro.core.pmsb import PmsbMarker
-from repro.net.packet import POOL, make_data, split_train
+from repro.net.packet import make_data, split_train
 from repro.net.topology import single_bottleneck
 from repro.scheduling.dwrr import DwrrScheduler
 from repro.sim.engine import Simulator
@@ -44,13 +44,6 @@ class TestSplitTrain:
             split_train(packet, 0)
         with pytest.raises(ValueError):
             split_train(packet, 4)
-
-    def test_pool_reset_clears_train(self):
-        packet = make_data(1, 0, 9, 0, 1500 * 4, 0)
-        packet.train = 4
-        POOL.release(packet)
-        again = POOL.acquire(packet.kind, 1, 0, 9, 0, 1500, 0, False)
-        assert again.train == 1
 
 
 def run_incast_pair(train_packets, duration=0.004, n_senders=9):
